@@ -8,7 +8,9 @@ use crate::gas;
 use crate::interpreter::{CallParams, Evm, FrameResult, Halt};
 use crate::overlay::{StateOverlay, StateRead};
 use crate::state::{State, StateOps};
-use crate::trace::{CallKind, NoopTracer, TraceRecorder, Tracer, TxTrace};
+use crate::trace::{
+    CallKind, NoopTracer, StorageAccess, StorageRecorder, TraceRecorder, Tracer, TxTrace,
+};
 use crate::tx::{Block, BlockHeader, Log, Receipt, Transaction};
 use mtpu_primitives::{Address, U256};
 
@@ -201,6 +203,25 @@ pub fn trace_transaction<S: StateOps>(
     let receipt = execute_transaction(state, header, tx, &mut recorder)?;
     recorder.set_outcome(receipt.gas_used, receipt.success);
     Ok((receipt, recorder.into_trace()))
+}
+
+/// Executes a transaction and records only its storage accesses — the
+/// cheap form of [`trace_transaction`] for callers that need a conflict
+/// footprint, not an instruction stream. The accesses equal the
+/// transaction's [`TxTrace::storage`] except that every
+/// [`StorageAccess::step`] is 0, since no steps are recorded.
+///
+/// # Errors
+///
+/// Propagates [`TxError`] from [`execute_transaction`].
+pub fn trace_storage<S: StateOps>(
+    state: &mut S,
+    header: &BlockHeader,
+    tx: &Transaction,
+) -> Result<(Receipt, Vec<StorageAccess>), TxError> {
+    let mut recorder = StorageRecorder::default();
+    let receipt = execute_transaction(state, header, tx, &mut recorder)?;
+    Ok((receipt, recorder.into_accesses()))
 }
 
 /// An `eth_call`-style read-only simulation request: a message call with

@@ -56,7 +56,7 @@ pub use config::{
 };
 pub use executor::{
     admission_preflight, call_readonly, execute_block, execute_transaction, max_tx_cost,
-    trace_transaction, ReadCall, ReadCallOutcome, TxError,
+    trace_storage, trace_transaction, ReadCall, ReadCallOutcome, TxError,
 };
 pub use fusion::{FusedKind, FusedSpec, FusedTable, SelectorArm};
 pub use interpreter::{CallParams, Evm, FrameResult, Halt, VmError};

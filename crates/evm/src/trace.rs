@@ -211,6 +211,40 @@ impl Tracer for TraceRecorder {
     }
 }
 
+/// A tracer that records only storage accesses — all an admission-time
+/// conflict footprint needs. It declines [`Tracer::step`] events, so
+/// fused dispatch skips the per-constituent replay, and it keeps no frame
+/// or step log. Fused SLOAD sites report their accesses like unfused ones,
+/// so the recorded accesses equal [`TxTrace::storage`] of a full
+/// [`TraceRecorder`] except for [`StorageAccess::step`], which is always
+/// 0 here.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StorageRecorder {
+    accesses: Vec<StorageAccess>,
+}
+
+impl StorageRecorder {
+    /// Finishes recording, returning the accesses in execution order.
+    pub(crate) fn into_accesses(self) -> Vec<StorageAccess> {
+        self.accesses
+    }
+}
+
+impl Tracer for StorageRecorder {
+    fn wants_steps(&self) -> bool {
+        false
+    }
+
+    fn storage_access(&mut self, address: Address, key: U256, write: bool) {
+        self.accesses.push(StorageAccess {
+            step: 0,
+            address,
+            key,
+            write,
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,10 +14,10 @@
 //! lives in exactly one shard.
 
 use crate::obs;
-use mtpu::sched::{static_rw_set, tx_rw_set, Footprint, RwSet};
+use mtpu::sched::{static_rw_set, storage_rw_set, Footprint, RwSet};
 use mtpu_evm::overlay::{StateOverlay, StateRead};
 use mtpu_evm::tx::{BlockHeader, Transaction};
-use mtpu_evm::{admission_preflight, trace_transaction, TxError};
+use mtpu_evm::{admission_preflight, trace_storage, TxError};
 use mtpu_primitives::{Address, B256, U256};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -364,12 +364,13 @@ impl Mempool {
         }
     }
 
-    /// Admission-time footprint extraction: one speculative execution on
-    /// an overlay over committed state (with the sender's nonce pinned to
-    /// the transaction's, so parked chain members still execute). A
-    /// failed execution falls back to the static value-transfer footprint
-    /// — an under-approximation that only costs parallelism, never
-    /// correctness, because parexec re-validates every read at commit.
+    /// Admission-time footprint extraction: one speculative execution,
+    /// recording storage accesses only, on an overlay over committed
+    /// state (with the sender's nonce pinned to the transaction's, so
+    /// parked chain members still execute). A failed execution falls back
+    /// to the static value-transfer footprint — an under-approximation
+    /// that only costs parallelism, never correctness, because parexec
+    /// re-validates every read at commit.
     fn extract<S: StateRead>(&self, tx: Transaction, state: &S, bytes: usize) -> PooledTx {
         let view = NonceView {
             base: state,
@@ -377,9 +378,8 @@ impl Mempool {
             nonce: tx.nonce,
         };
         let mut overlay = StateOverlay::new(&view);
-        let (rw, approximate) = match trace_transaction(&mut overlay, &self.extraction_header, &tx)
-        {
-            Ok((_, trace)) => (tx_rw_set(&tx, &trace), false),
+        let (rw, approximate) = match trace_storage(&mut overlay, &self.extraction_header, &tx) {
+            Ok((_, accesses)) => (storage_rw_set(&tx, &accesses), false),
             Err(_) => (static_rw_set(&tx), true),
         };
         let footprint = rw.footprint();

@@ -6,7 +6,7 @@
 //! block packer (`mtpu-mempool`), which all drive off the same conflict
 //! keys.
 
-use mtpu_evm::trace::TxTrace;
+use mtpu_evm::trace::{StorageAccess, TxTrace};
 use mtpu_evm::tx::Transaction;
 use mtpu_primitives::{Address, U256};
 use std::collections::HashSet;
@@ -181,8 +181,14 @@ fn sorted_union(a: &[SlotKey], b: &[SlotKey]) -> Vec<SlotKey> {
 /// Extracts the read/write sets of a recorded execution: storage accesses
 /// from the trace plus the balances moved by the value transfer.
 pub fn tx_rw_set(tx: &Transaction, trace: &TxTrace) -> RwSet {
+    storage_rw_set(tx, &trace.storage)
+}
+
+/// [`tx_rw_set`] from the storage accesses alone, as recorded by
+/// `mtpu_evm::trace_storage`.
+pub fn storage_rw_set(tx: &Transaction, accesses: &[StorageAccess]) -> RwSet {
     let mut set = RwSet::default();
-    for acc in &trace.storage {
+    for acc in accesses {
         let slot = SlotKey::Storage(acc.address, acc.key);
         if acc.write {
             set.writes.insert(slot);

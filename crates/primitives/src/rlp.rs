@@ -89,6 +89,31 @@ pub fn encode_list(items: &[Item]) -> Vec<u8> {
     out
 }
 
+/// Appends the RLP encoding of the byte string `b` to `out` — the
+/// streaming form of [`encode`] for an [`Item::Bytes`], for encoders
+/// that write straight into a buffer instead of building an [`Item`].
+pub fn write_bytes(b: &[u8], out: &mut Vec<u8>) {
+    if b.len() == 1 && b[0] < 0x80 {
+        out.push(b[0]);
+    } else {
+        write_length(0x80, b.len(), out);
+        out.extend_from_slice(b);
+    }
+}
+
+/// Turns `out[start..]`, a run of already-encoded items, into one RLP
+/// list by inserting the list header at `start`.
+pub fn wrap_list(out: &mut Vec<u8>, start: usize) {
+    let payload = out.len() - start;
+    if payload <= 55 {
+        out.insert(start, 0xc0 + payload as u8);
+    } else {
+        let mut header = Vec::with_capacity(9);
+        write_length(0xc0, payload, &mut header);
+        out.splice(start..start, header);
+    }
+}
+
 /// Exact length in bytes of [`encode`]'s output for `item`.
 pub fn encoded_len(item: &Item) -> usize {
     match item {
@@ -108,14 +133,7 @@ pub fn encoded_len(item: &Item) -> usize {
 
 fn encode_into(item: &Item, out: &mut Vec<u8>) {
     match item {
-        Item::Bytes(b) => {
-            if b.len() == 1 && b[0] < 0x80 {
-                out.push(b[0]);
-            } else {
-                write_length(0x80, b.len(), out);
-                out.extend_from_slice(b);
-            }
-        }
+        Item::Bytes(b) => write_bytes(b, out),
         Item::List(items) => {
             let payload: usize = items.iter().map(encoded_len).sum();
             write_length(0xc0, payload, out);

@@ -1,8 +1,10 @@
 //! A bounded, hash-addressed cache of *decoded* trie nodes.
 //!
-//! Trie walks resolve hash links through this cache before touching the
-//! [`crate::store::NodeStore`], skipping both the store lookup and the
-//! RLP decode on a hit. Eviction is FIFO — content-addressed nodes never
+//! Trie walks resolve [`crate::node::Link::Hash`] links — the cold nodes
+//! of a trie reopened from a root hash — through this cache before
+//! touching the [`crate::store::NodeStore`], skipping both the store
+//! lookup and the RLP decode on a hit. Committed nodes stay resident in
+//! their tries as [`crate::node::Link::Clean`], so commits never fill it. Eviction is FIFO — content-addressed nodes never
 //! mutate, so recency tracking buys little over insertion order for the
 //! top-of-trie nodes that dominate lookups, and FIFO keeps the hot path
 //! to one `VecDeque` push.

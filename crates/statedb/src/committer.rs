@@ -11,10 +11,12 @@
 //!   account field and every storage slot;
 //! * zero-valued slots and empty values are absent, not stored.
 //!
-//! [`StateCommitter`] keeps the account trie open across blocks and
-//! re-opens per-account storage tries from the roots recorded in the
-//! account leaves, so a block that touches *k* accounts re-hashes only
-//! those accounts' paths.
+//! [`StateCommitter`] keeps the account trie and every committed storage
+//! trie resident across blocks, so a block that touches *k* accounts
+//! re-hashes only those accounts' paths and reads nothing back from the
+//! store. A storage trie is reopened from the root recorded in its
+//! account leaf only when no resident trie commits to that root (a
+//! committer resumed from a persistent store).
 
 use crate::cache::BoundedMemo;
 use crate::store::NodeStore;
@@ -149,6 +151,9 @@ pub struct StateCommitter<S: NodeStore> {
     dirty: Vec<(Address, OpenAccount)>,
     /// Address → index into `dirty`.
     dirty_index: HashMap<Address, usize>,
+    /// Committed, non-empty storage tries of accounts not in `dirty`,
+    /// kept in memory between blocks.
+    storage_tries: HashMap<Address, Trie>,
     keys: SecureKeys,
     threads: usize,
 }
@@ -204,6 +209,7 @@ impl<S: NodeStore> StateCommitter<S> {
             accounts,
             dirty: Vec::new(),
             dirty_index: HashMap::new(),
+            storage_tries: HashMap::new(),
             keys: SecureKeys::new(),
             threads: 1,
         }
@@ -251,7 +257,12 @@ impl<S: NodeStore> StateCommitter<S> {
             let Some(record) = self.account(addr) else {
                 return U256::ZERO;
             };
-            Trie::from_root(record.storage_root).get(&mut self.db, key.as_bytes())
+            match self.storage_tries.get(addr) {
+                Some(trie) if trie.committed_root() == Some(record.storage_root) => {
+                    trie.get(&mut self.db, key.as_bytes())
+                }
+                _ => Trie::from_root(record.storage_root).get(&mut self.db, key.as_bytes()),
+            }
         };
         match raw {
             Some(raw) => rlp::decode(&raw)
@@ -276,7 +287,11 @@ impl<S: NodeStore> StateCommitter<S> {
                     .get(&mut self.db, key.as_bytes())
                     .map(|raw| AccountRecord::decode(&raw).expect("stored account record decodes"))
                     .unwrap_or_else(AccountRecord::empty);
-                let storage = Trie::from_root(record.storage_root);
+                let storage = self
+                    .storage_tries
+                    .remove(addr)
+                    .filter(|trie| trie.committed_root() == Some(record.storage_root))
+                    .unwrap_or_else(|| Trie::from_root(record.storage_root));
                 let i = self.dirty.len();
                 self.dirty.push((*addr, OpenAccount { record, storage }));
                 self.dirty_index.insert(*addr, i);
@@ -314,6 +329,7 @@ impl<S: NodeStore> StateCommitter<S> {
                 }
             }
         }
+        self.storage_tries.remove(addr);
         let key = self.keys.account(addr);
         self.accounts.remove(&mut self.db, key.as_bytes());
     }
@@ -336,7 +352,8 @@ impl<S: NodeStore> StateCommitter<S> {
         }
     }
 
-    /// Commits all open storage tries and inserts their account leaves.
+    /// Commits all open storage tries, inserts their account leaves and
+    /// keeps the committed tries resident.
     fn flush_dirty(&mut self) {
         if self.dirty.is_empty() {
             return;
@@ -386,10 +403,13 @@ impl<S: NodeStore> StateCommitter<S> {
                 entry.record.storage_root = entry.storage.commit_into(&mut self.db);
             }
         }
-        for (addr, entry) in &dirty {
-            let key = self.keys.account(addr);
+        for (addr, entry) in dirty {
+            let key = self.keys.account(&addr);
             self.accounts
                 .insert(&mut self.db, key.as_bytes(), &entry.record.encode());
+            if !entry.storage.is_empty() {
+                self.storage_tries.insert(addr, entry.storage);
+            }
         }
     }
 

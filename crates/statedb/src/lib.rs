@@ -14,11 +14,12 @@
 //!   ephemeral runs, [`FileStore`] (append-only log + manifest) so a
 //!   chain survives restart;
 //! * [`NodeCache`] — bounded FIFO cache of decoded nodes in front of the
-//!   store;
+//!   store, serving cold loads of [`Link::Hash`] children;
 //! * [`Trie`] over a [`NodeDb`] — get/insert/remove plus **incremental**
-//!   [`Trie::commit`]: between commits the root is a hash link, mutations
-//!   splice in-memory nodes along touched paths only, and commit
-//!   re-hashes exactly those dirty paths ([`TrieStats`] counts the work);
+//!   [`Trie::commit`]: committed nodes stay in memory as [`Link::Clean`],
+//!   mutations splice in-memory nodes along touched paths only, and
+//!   commit re-hashes exactly those dirty paths ([`TrieStats`] counts the
+//!   work);
 //! * [`StateCommitter`] — the secure account/storage layout
 //!   (`keccak(address)` keys, `rlp([nonce, balance, storage_root,
 //!   code_hash])` leaves, per-account storage tries).

@@ -18,8 +18,15 @@ pub fn to_nibbles(bytes: &[u8]) -> Vec<u8> {
 
 /// Hex-prefix encodes a nibble path. `is_leaf` sets the terminator flag.
 pub fn hp_encode(nibbles: &[u8], is_leaf: bool) -> Vec<u8> {
-    let mut flag = if is_leaf { 0x20u8 } else { 0x00 };
     let mut out = Vec::with_capacity(1 + nibbles.len() / 2);
+    hp_encode_into(nibbles, is_leaf, &mut out);
+    out
+}
+
+/// [`hp_encode`], appending the `1 + nibbles.len() / 2` encoded bytes to
+/// `out`.
+pub(crate) fn hp_encode_into(nibbles: &[u8], is_leaf: bool, out: &mut Vec<u8>) {
+    let mut flag = if is_leaf { 0x20u8 } else { 0x00 };
     let rest = if nibbles.len() % 2 == 1 {
         flag |= 0x10 | nibbles[0];
         &nibbles[1..]
@@ -30,7 +37,6 @@ pub fn hp_encode(nibbles: &[u8], is_leaf: bool) -> Vec<u8> {
     for pair in rest.chunks(2) {
         out.push((pair[0] << 4) | pair[1]);
     }
-    out
 }
 
 /// Decodes a hex-prefix path back into `(nibbles, is_leaf)`.

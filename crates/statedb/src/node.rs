@@ -5,7 +5,7 @@
 //! *inline* in its parent, otherwise the parent stores its keccak hash
 //! and the raw bytes live in the [`crate::store::NodeStore`].
 
-use crate::nibbles::{hp_decode, hp_encode};
+use crate::nibbles::{hp_decode, hp_encode_into};
 use mtpu_primitives::rlp::{self, Item};
 use mtpu_primitives::B256;
 use std::fmt;
@@ -13,17 +13,23 @@ use std::fmt;
 /// A reference from a node to one of its children.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Link {
-    /// A committed child, addressed by the keccak hash of its encoding.
+    /// A committed child that is not loaded: only the keccak hash of its
+    /// encoding is known, as in a trie reopened from a persistent store.
     Hash(B256),
-    /// An in-memory child: freshly mutated, or decoded from an inline
-    /// (sub-32-byte) embedding in its parent.
+    /// A committed child kept in memory: its hash plus the decoded node.
+    /// Commit leaves every node it hashes in this state, so the next
+    /// block walks and mutates it without a store read.
+    Clean(B256, Box<Node>),
+    /// An in-memory child that is not hashed: freshly mutated, or decoded
+    /// from an inline (sub-32-byte) embedding in its parent.
     Node(Box<Node>),
 }
 
+/// A branch's 16 child slots, one per next nibble. Boxed so a resident
+/// leaf or extension does not pay for a branch-sized [`Node`].
+pub type Children = Box<[Option<Link>; 16]>;
+
 /// One Merkle Patricia Trie node.
-// Branch is by far the most common variant in a populated trie, so its
-// 16-slot array stays inline rather than behind another allocation.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
     /// Terminates a key: remaining path + value.
@@ -43,7 +49,7 @@ pub enum Node {
     /// A 16-way fan-out plus an optional value for keys ending here.
     Branch {
         /// One slot per next-nibble.
-        children: [Option<Link>; 16],
+        children: Children,
         /// Value of the key that terminates at this node, if any.
         value: Option<Vec<u8>>,
     },
@@ -70,32 +76,32 @@ impl fmt::Display for NodeError {
 impl std::error::Error for NodeError {}
 
 impl Node {
-    /// Encodes this node as an RLP item. In-memory children are encoded
-    /// recursively; children whose encoding reaches 32 bytes are replaced
-    /// by their hash via `commit_child` (which is expected to persist
-    /// them and count the hash).
-    pub fn to_item(&self, commit_child: &mut dyn FnMut(&Node) -> Item) -> Item {
+    /// Appends this node's canonical RLP encoding to `out`. Hashed
+    /// children ([`Link::Hash`], [`Link::Clean`]) encode as their 32-byte
+    /// hash and every [`Link::Node`] child is embedded inline, so callers
+    /// must commit each child whose encoding reaches 32 bytes first.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
         match self {
-            Node::Leaf { path, value } => Item::List(vec![
-                Item::bytes(hp_encode(path, true)),
-                Item::bytes(value.clone()),
-            ]),
-            Node::Extension { path, child } => Item::List(vec![
-                Item::bytes(hp_encode(path, false)),
-                link_item(child, commit_child),
-            ]),
+            Node::Leaf { path, value } => {
+                write_path(path, true, out);
+                rlp::write_bytes(value, out);
+            }
+            Node::Extension { path, child } => {
+                write_path(path, false, out);
+                write_link(child, out);
+            }
             Node::Branch { children, value } => {
-                let mut items = Vec::with_capacity(17);
                 for child in children.iter() {
-                    items.push(match child {
-                        Some(l) => link_item(l, commit_child),
-                        None => Item::bytes(Vec::new()),
-                    });
+                    match child {
+                        Some(link) => write_link(link, out),
+                        None => out.push(EMPTY_STRING),
+                    }
                 }
-                items.push(Item::bytes(value.clone().unwrap_or_default()));
-                Item::List(items)
+                rlp::write_bytes(value.as_deref().unwrap_or_default(), out);
             }
         }
+        rlp::wrap_list(out, start);
     }
 
     /// Decodes a node from its raw RLP bytes.
@@ -136,7 +142,7 @@ impl Node {
                 }
             }
             17 => {
-                let mut children: [Option<Link>; 16] = Default::default();
+                let mut children = Children::default();
                 for (i, slot) in children.iter_mut().enumerate() {
                     *slot = decode_link(&items[i])?;
                 }
@@ -157,10 +163,24 @@ impl Node {
     }
 }
 
-fn link_item(link: &Link, commit_child: &mut dyn FnMut(&Node) -> Item) -> Item {
+/// RLP of the empty byte string: an absent branch child.
+const EMPTY_STRING: u8 = 0x80;
+
+/// Writes a hex-prefixed path as an RLP byte string. At most 33 bytes,
+/// so the header is always the one-byte short form, and a lone flag
+/// byte (< 0x80) encodes as itself.
+fn write_path(path: &[u8], is_leaf: bool, out: &mut Vec<u8>) {
+    let len = 1 + path.len() / 2;
+    if len > 1 {
+        out.push(0x80 + len as u8);
+    }
+    hp_encode_into(path, is_leaf, out);
+}
+
+fn write_link(link: &Link, out: &mut Vec<u8>) {
     match link {
-        Link::Hash(h) => Item::bytes(h.as_bytes().to_vec()),
-        Link::Node(n) => commit_child(n),
+        Link::Hash(h) | Link::Clean(h, _) => rlp::write_bytes(h.as_bytes(), out),
+        Link::Node(n) => n.encode_into(out),
     }
 }
 
@@ -181,9 +201,10 @@ fn decode_link(item: &Item) -> Result<Option<Link>, NodeError> {
 mod tests {
     use super::*;
 
-    fn encode_plain(node: &Node) -> Vec<u8> {
-        // Children in these tests are hashes, so commit_child never fires.
-        rlp::encode(&node.to_item(&mut |_| unreachable!("no inline children")))
+    fn encode(node: &Node) -> Vec<u8> {
+        let mut out = Vec::new();
+        node.encode_into(&mut out);
+        out
     }
 
     #[test]
@@ -192,7 +213,7 @@ mod tests {
             path: vec![0xa, 0xb, 0xc],
             value: b"value".to_vec(),
         };
-        let raw = encode_plain(&n);
+        let raw = encode(&n);
         assert_eq!(Node::decode(&raw).unwrap(), n);
     }
 
@@ -202,7 +223,7 @@ mod tests {
             path: vec![0x1, 0x2],
             child: Link::Hash(B256::keccak(b"child")),
         };
-        let raw = encode_plain(&n);
+        let raw = encode(&n);
         assert_eq!(Node::decode(&raw).unwrap(), n);
     }
 
@@ -212,7 +233,7 @@ mod tests {
             path: vec![0x3],
             value: vec![0x7f],
         };
-        let mut children: [Option<Link>; 16] = Default::default();
+        let mut children = Children::default();
         children[4] = Some(Link::Node(Box::new(leaf)));
         children[9] = Some(Link::Hash(B256::keccak(b"big")));
         let n = Node::Branch {
@@ -220,11 +241,54 @@ mod tests {
             value: Some(vec![0x01]),
         };
         // The inline leaf encodes under 32 bytes, so it embeds directly.
-        let raw =
-            rlp::encode(&n.to_item(&mut |child| {
-                child.to_item(&mut |_| unreachable!("leaf has no children"))
-            }));
+        let raw = encode(&n);
         assert_eq!(Node::decode(&raw).unwrap(), n);
+    }
+
+    /// The streaming encoder writes the same bytes as `rlp::encode` of
+    /// the node's item tree, across the long-header boundaries: a value
+    /// and a list payload past 55 bytes, and a clean child encoding as
+    /// its hash.
+    #[test]
+    fn streaming_encoder_matches_item_encoding() {
+        use crate::nibbles::hp_encode;
+        let hash = B256::keccak(b"clean");
+        let long_leaf = Node::Leaf {
+            path: (0..61).map(|i| i % 16).collect(),
+            value: vec![0xab; 70],
+        };
+        assert_eq!(
+            encode(&long_leaf),
+            rlp::encode(&Item::List(vec![
+                Item::bytes(hp_encode(
+                    &(0..61).map(|i| i % 16).collect::<Vec<u8>>(),
+                    true
+                )),
+                Item::bytes(vec![0xab; 70]),
+            ]))
+        );
+        let mut children = Children::default();
+        children[0] = Some(Link::Clean(hash, Box::new(long_leaf)));
+        children[15] = Some(Link::Hash(hash));
+        let branch = Node::Branch {
+            children,
+            value: None,
+        };
+        let mut items = vec![Item::bytes(Vec::new()); 17];
+        items[0] = Item::bytes(hash.as_bytes().to_vec());
+        items[15] = Item::bytes(hash.as_bytes().to_vec());
+        assert_eq!(encode(&branch), rlp::encode(&Item::List(items)));
+        let ext = Node::Extension {
+            path: Vec::new(),
+            child: Link::Clean(hash, Box::new(branch)),
+        };
+        assert_eq!(
+            encode(&ext),
+            rlp::encode(&Item::List(vec![
+                Item::bytes(vec![0x00]),
+                Item::bytes(hash.as_bytes().to_vec()),
+            ]))
+        );
     }
 
     #[test]

@@ -1,17 +1,20 @@
 //! The Merkle Patricia Trie proper: get/insert/remove over a
 //! [`NodeDb`], with **incremental** root commitment.
 //!
-//! A [`Trie`] holds its root as a [`Link`]: after [`Trie::commit`] the
-//! root is a hash reference into the store; mutations splice fresh
-//! in-memory nodes along the touched path only, leaving every untouched
-//! subtree as a hash link. The next commit therefore re-encodes and
-//! re-hashes exactly the dirty paths — O(dirty · depth) instead of
-//! O(state) — which is the property the per-instance [`TrieStats`]
-//! counters (and the mirrored `statedb.*` telemetry) let callers assert.
+//! A [`Trie`] holds its root as a [`Link`]. [`Trie::commit`] hashes the
+//! dirty nodes, writes them to the store and leaves each one in memory
+//! as a [`Link::Clean`] (hash plus decoded node); mutations splice fresh
+//! [`Link::Node`]s along the touched path only, leaving every untouched
+//! subtree clean. The next commit therefore re-encodes and re-hashes
+//! exactly the dirty paths — O(dirty · depth) instead of O(state) — and
+//! reads nothing back from the store, which is the property the
+//! per-instance [`TrieStats`] counters (and the mirrored `statedb.*`
+//! telemetry) let callers assert. Only a trie reopened from a root hash
+//! starts cold, as [`Link::Hash`] links loaded on first touch.
 
 use crate::cache::NodeCache;
 use crate::nibbles::{common_prefix, to_nibbles};
-use crate::node::{Link, Node};
+use crate::node::{Children, Link, Node};
 use crate::store::NodeStore;
 use mtpu_primitives::rlp::{self, Item};
 use mtpu_primitives::B256;
@@ -21,6 +24,10 @@ use std::time::Instant;
 /// Fewest dirty branch children worth fanning out across threads in
 /// [`Trie::commit_parallel`]; below this the spawn cost dominates.
 const PAR_MIN_CHILDREN: usize = 4;
+
+/// Initial capacity of a commit's encoding buffer: a full branch of 16
+/// hashed children plus headers is 532 bytes.
+const ENCODE_BUF_CAPACITY: usize = 544;
 
 /// Root hash of the empty trie: `keccak(rlp(""))`.
 pub fn empty_root() -> B256 {
@@ -47,7 +54,8 @@ pub struct TrieStats {
     pub commits: u64,
 }
 
-/// Receives the nodes a commit hashes, in bottom-up traversal order.
+/// Receives the encoded nodes a commit hashes, in bottom-up traversal
+/// order.
 ///
 /// [`NodeDb`] sinks straight into its store; [`NodeBatch`] buffers them
 /// so a worker thread can hash a subtree without touching the shared
@@ -57,7 +65,7 @@ pub struct TrieStats {
 /// order), which is what makes the parallel merge deterministic.
 pub trait NodeSink {
     /// Accepts one freshly encoded and hashed node.
-    fn sink_node(&mut self, hash: B256, raw: Vec<u8>, node: &Node);
+    fn sink_node(&mut self, hash: B256, raw: Vec<u8>);
 }
 
 /// An ordered buffer of committed nodes produced off-thread by
@@ -65,7 +73,7 @@ pub trait NodeSink {
 /// [`NodeDb::absorb_batch`].
 #[derive(Debug, Default)]
 pub struct NodeBatch {
-    nodes: Vec<(B256, Vec<u8>, Node)>,
+    nodes: Vec<(B256, Vec<u8>)>,
 }
 
 impl NodeBatch {
@@ -86,14 +94,15 @@ impl NodeBatch {
 }
 
 impl NodeSink for NodeBatch {
-    fn sink_node(&mut self, hash: B256, raw: Vec<u8>, node: &Node) {
-        self.nodes.push((hash, raw, node.clone()));
+    fn sink_node(&mut self, hash: B256, raw: Vec<u8>) {
+        self.nodes.push((hash, raw));
     }
 }
 
 /// A node store wrapped with the decoded-node cache and work counters;
 /// shared by every trie (account trie and per-account storage tries)
-/// committing into the same backend.
+/// committing into the same backend. The cache serves cold loads through
+/// [`Link::Hash`] only: committed nodes stay resident in their tries.
 #[derive(Debug)]
 pub struct NodeDb<S: NodeStore> {
     store: S,
@@ -177,15 +186,14 @@ impl<S: NodeStore> NodeDb<S> {
 
     fn take_node(&mut self, link: Link) -> Node {
         match link {
-            Link::Node(boxed) => *boxed,
+            Link::Node(boxed) | Link::Clean(_, boxed) => *boxed,
             Link::Hash(h) => self.load_node(h),
         }
     }
 
-    fn store_node(&mut self, hash: B256, raw: Vec<u8>, node: &Node) {
+    fn store_node(&mut self, hash: B256, raw: Vec<u8>) {
         self.nodes_hashed += 1;
         self.store.put(hash, raw);
-        self.cache.put(hash, node.clone());
         if mtpu_telemetry::enabled() {
             let m = crate::obs::metrics();
             m.nodes_hashed.inc();
@@ -193,22 +201,17 @@ impl<S: NodeStore> NodeDb<S> {
         }
     }
 
-    /// Merges a worker-produced [`NodeBatch`] into the store and cache,
-    /// preserving the batch's insertion order — callers absorb batches in
-    /// job order, so the store sees the exact byte sequence a sequential
-    /// commit of the same tries would have appended.
+    /// Merges a worker-produced [`NodeBatch`] into the store, preserving
+    /// the batch's insertion order — callers absorb batches in job order,
+    /// so the store sees the exact byte sequence a sequential commit of
+    /// the same tries would have appended.
     pub fn absorb_batch(&mut self, batch: NodeBatch) {
         let n = batch.nodes.len() as u64;
         if n == 0 {
             return;
         }
         self.nodes_hashed += n;
-        let mut raws = Vec::with_capacity(batch.nodes.len());
-        for (hash, raw, node) in batch.nodes {
-            self.cache.put(hash, node);
-            raws.push((hash, raw));
-        }
-        self.store.put_batch(raws);
+        self.store.put_batch(batch.nodes);
         if mtpu_telemetry::enabled() {
             let m = crate::obs::metrics();
             m.nodes_hashed.add(n);
@@ -219,8 +222,8 @@ impl<S: NodeStore> NodeDb<S> {
 }
 
 impl<S: NodeStore> NodeSink for NodeDb<S> {
-    fn sink_node(&mut self, hash: B256, raw: Vec<u8>, node: &Node) {
-        self.store_node(hash, raw, node);
+    fn sink_node(&mut self, hash: B256, raw: Vec<u8>) {
+        self.store_node(hash, raw);
     }
 }
 
@@ -305,8 +308,9 @@ impl Trie {
     }
 
     /// Hashes every dirty path, writes the affected nodes to the store,
-    /// and returns the new root hash. Clean tries return their root
-    /// without touching the store.
+    /// and returns the new root hash. The hashed nodes stay in memory as
+    /// [`Link::Clean`]. Clean tries return their root without touching
+    /// the store.
     pub fn commit<S: NodeStore>(&mut self, db: &mut NodeDb<S>) -> B256 {
         let hashed_before = db.nodes_hashed;
         let root = self.commit_into(db);
@@ -324,26 +328,28 @@ impl Trie {
     ///
     /// Committing a dirty trie never *reads* the store — mutations only
     /// ever splice in-memory [`Link::Node`]s, and everything below a
-    /// [`Link::Hash`] is already committed — so a worker thread can run
-    /// this against a private [`NodeBatch`] with no access to the shared
-    /// [`NodeDb`] at all. Unlike [`Trie::commit`] this does not bump the
-    /// commits counter or record telemetry; wrappers do.
+    /// [`Link::Clean`] or [`Link::Hash`] is already committed — so a
+    /// worker thread can run this against a private [`NodeBatch`] with no
+    /// access to the shared [`NodeDb`] at all. Unlike [`Trie::commit`]
+    /// this does not bump the commits counter or record telemetry;
+    /// wrappers do.
     pub fn commit_into<K: NodeSink>(&mut self, sink: &mut K) -> B256 {
         match &mut self.root {
             None => empty_root(),
-            Some(Link::Hash(h)) => *h,
+            Some(Link::Hash(h) | Link::Clean(h, _)) => *h,
             Some(link) => {
                 let Link::Node(node) = link else {
-                    unreachable!("hash case handled above")
+                    unreachable!("committed cases handled above")
                 };
-                commit_children(sink, node);
+                let mut buf = Vec::with_capacity(ENCODE_BUF_CAPACITY);
+                commit_children(sink, &mut buf, node);
                 // The root node is always hashed and stored, even when
                 // its encoding is shorter than 32 bytes.
-                let item = encode_committed(node);
-                let raw = rlp::encode(&item);
-                let h = B256::keccak(&raw);
-                sink.sink_node(h, raw, node);
-                *link = Link::Hash(h);
+                buf.clear();
+                node.encode_into(&mut buf);
+                let h = B256::keccak(&buf);
+                sink.sink_node(h, buf.clone());
+                seal(link, h);
                 h
             }
         }
@@ -354,7 +360,7 @@ impl Trie {
     pub fn committed_root(&self) -> Option<B256> {
         match &self.root {
             None => Some(empty_root()),
-            Some(Link::Hash(h)) => Some(*h),
+            Some(Link::Hash(h) | Link::Clean(h, _)) => Some(*h),
             Some(Link::Node(_)) => None,
         }
     }
@@ -408,8 +414,9 @@ impl Trie {
                         s.spawn(move || {
                             let started = Instant::now();
                             let mut batch = NodeBatch::new();
+                            let mut buf = Vec::with_capacity(ENCODE_BUF_CAPACITY);
                             for link in links.iter_mut() {
-                                commit_link(&mut batch, link);
+                                commit_link(&mut batch, &mut buf, link);
                             }
                             (batch, started.elapsed().as_nanos() as u64)
                         })
@@ -428,7 +435,7 @@ impl Trie {
                 db.absorb_batch(batch);
             }
         }
-        // Children are now hash links (or sub-32-byte inlines); this
+        // Children are now clean links (or sub-32-byte inlines); this
         // hashes and stores just the root node.
         let root = self.commit_into(db);
         db.commits += 1;
@@ -442,46 +449,49 @@ impl Trie {
     }
 }
 
-/// Encodes a node whose oversized descendants are already hash links;
-/// only sub-32-byte inline descendants are re-encoded.
-fn encode_committed(node: &Node) -> Item {
-    node.to_item(&mut encode_committed)
-}
-
-/// Recursively replaces every in-memory child whose encoding reaches 32
-/// bytes with a hash link, sinking it (store reads are never needed —
-/// see [`Trie::commit_into`]).
-fn commit_children<K: NodeSink>(sink: &mut K, node: &mut Node) {
+/// Recursively hashes and sinks every dirty child whose encoding reaches
+/// 32 bytes, sealing it as a [`Link::Clean`] (store reads are never
+/// needed — see [`Trie::commit_into`]). `buf` is the scratch encoding
+/// buffer, reused across the whole walk.
+fn commit_children<K: NodeSink>(sink: &mut K, buf: &mut Vec<u8>, node: &mut Node) {
     match node {
         Node::Leaf { .. } => {}
-        Node::Extension { child, .. } => commit_link(sink, child),
+        Node::Extension { child, .. } => commit_link(sink, buf, child),
         Node::Branch { children, .. } => {
             for child in children.iter_mut().flatten() {
-                commit_link(sink, child);
+                commit_link(sink, buf, child);
             }
         }
     }
 }
 
-fn commit_link<K: NodeSink>(sink: &mut K, link: &mut Link) {
+fn commit_link<K: NodeSink>(sink: &mut K, buf: &mut Vec<u8>, link: &mut Link) {
     let Link::Node(node) = link else {
         return; // already committed
     };
-    commit_children(sink, node);
-    let item = encode_committed(node);
-    let raw = rlp::encode(&item);
-    if raw.len() < 32 {
+    commit_children(sink, buf, node);
+    buf.clear();
+    node.encode_into(buf);
+    if buf.len() < 32 {
         return; // stays inline in the parent's encoding
     }
-    let h = B256::keccak(&raw);
-    sink.sink_node(h, raw, node);
-    *link = Link::Hash(h);
+    let h = B256::keccak(buf);
+    sink.sink_node(h, buf.clone());
+    seal(link, h);
+}
+
+/// Turns a freshly hashed [`Link::Node`] into a [`Link::Clean`] in place,
+/// keeping the decoded node resident.
+fn seal(link: &mut Link, hash: B256) {
+    if let Link::Node(node) = std::mem::replace(link, Link::Hash(hash)) {
+        *link = Link::Clean(hash, node);
+    }
 }
 
 fn get_at<S: NodeStore>(db: &mut NodeDb<S>, link: &Link, path: &[u8]) -> Option<Vec<u8>> {
     let owned;
     let node = match link {
-        Link::Node(n) => n.as_ref(),
+        Link::Node(n) | Link::Clean(_, n) => n.as_ref(),
         Link::Hash(h) => {
             owned = db.load_node(*h);
             &owned
@@ -539,7 +549,7 @@ fn insert_at<S: NodeStore>(
             if common == lp.len() && common == path.len() {
                 Node::Leaf { path: lp, value } // overwrite
             } else {
-                let mut children: [Option<Link>; 16] = Default::default();
+                let mut children = Children::default();
                 let mut branch_value = None;
                 if lp.len() == common {
                     branch_value = Some(lv);
@@ -569,7 +579,7 @@ fn insert_at<S: NodeStore>(
                 }
             } else {
                 // Split the extension at the divergence point.
-                let mut children: [Option<Link>; 16] = Default::default();
+                let mut children = Children::default();
                 let mut branch_value = None;
                 let rest = &ep[common + 1..];
                 children[ep[common] as usize] = Some(if rest.is_empty() {
@@ -675,7 +685,7 @@ fn merge_prefix<S: NodeStore>(db: &mut NodeDb<S>, mut prefix: Vec<u8>, child: Li
 /// or merge into their single child.
 fn normalize_branch<S: NodeStore>(
     db: &mut NodeDb<S>,
-    mut children: [Option<Link>; 16],
+    mut children: Children,
     value: Option<Vec<u8>>,
 ) -> Option<Link> {
     let occupied: Vec<usize> = (0..16).filter(|&i| children[i].is_some()).collect();
@@ -818,6 +828,40 @@ mod tests {
         assert!(
             dirty <= 12,
             "one-key update must re-hash a path, not the trie ({dirty} nodes)"
+        );
+    }
+
+    /// Residency changes loads, not hashing: after a commit the trie
+    /// updates without reading the store, and hashes exactly the nodes a
+    /// cold trie reopened from the same root hashes for the same update.
+    #[test]
+    fn committed_nodes_stay_resident() {
+        let mut db = db();
+        let mut t = Trie::empty();
+        let key = |i: u32| B256::keccak(&i.to_be_bytes()).into_bytes();
+        for i in 0u32..512 {
+            t.insert(&mut db, &key(i), b"v1");
+        }
+        let root = t.commit(&mut db);
+        assert!(!t.is_dirty());
+
+        let before = db.stats();
+        t.insert(&mut db, &key(7), b"v2");
+        t.remove(&mut db, &key(8));
+        let resident_root = t.commit(&mut db);
+        let resident = db.stats();
+        assert_eq!(resident.nodes_loaded, before.nodes_loaded);
+        assert_eq!(resident.cache_misses, before.cache_misses);
+
+        let mut cold = Trie::from_root(root);
+        cold.insert(&mut db, &key(7), b"v2");
+        cold.remove(&mut db, &key(8));
+        assert_eq!(cold.commit(&mut db), resident_root);
+        let after = db.stats();
+        assert!(after.nodes_loaded > resident.nodes_loaded);
+        assert_eq!(
+            after.nodes_hashed - resident.nodes_hashed,
+            resident.nodes_hashed - before.nodes_hashed
         );
     }
 }

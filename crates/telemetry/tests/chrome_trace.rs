@@ -3,10 +3,16 @@
 //! and keep its `"ph":"X"` events sorted by timestamp.
 
 use mtpu_telemetry as tel;
+use std::sync::Mutex;
 use tel::json;
 use tel::{Registry, TraceArg, TraceEvent, SIM_PID, WALL_PID};
 
+/// Serializes the fixture builds: the enabled switch is process-global,
+/// and one test switching it off mid-build would drop the other's events.
+static GLOBAL_SWITCH: Mutex<()> = Mutex::new(());
+
 fn fixture_registry() -> Registry {
+    let _switch = GLOBAL_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
     tel::set_enabled(true);
     let r = Registry::new();
     // Deliberately pushed out of timestamp order: the exporter must sort.

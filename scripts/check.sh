@@ -25,9 +25,24 @@ cargo test -q --test fusion_differential
 echo "==> readserve crate tests (MVCC snapshot read layer)"
 cargo test -q -p mtpu-readserve
 
-echo "==> statedb fuzz smoke (randomized trie vs model, incremental vs scratch)"
+echo "==> statedb fuzz smoke (randomized trie: resident vs cold reopen vs scratch)"
 cargo run --release -p mtpu-statedb --example fuzz_smoke
 
 ./scripts/bench_smoke.sh
+
+# nodebench/ is a workspace of its own, so the builds above do not cover
+# it: build it here, then run both workloads briefly against the
+# sequential oracle.
+echo "==> node benchmark build + smoke"
+cargo build --release --offline --manifest-path nodebench/Cargo.toml
+for workload in top8-mix read-under-write; do
+  out=$(cargo run --release --quiet --offline --manifest-path nodebench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 3 --trace 0)
+  echo "$out"
+  echo "$out" | tail -n 1 | grep -q '"correct": true' || {
+    echo "nodebench $workload: not correct" >&2
+    exit 1
+  }
+done
 
 echo "All checks passed."

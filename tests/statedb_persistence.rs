@@ -5,7 +5,7 @@
 //! semantics), leaving the store at the last durable root.
 
 use mtpu_repro::evm::state::State;
-use mtpu_repro::evm::{commit_block_delta, commit_full};
+use mtpu_repro::evm::{commit_block_delta, commit_full, BlockDelta};
 use mtpu_repro::parexec::ParExecutor;
 use mtpu_repro::primitives::B256;
 use mtpu_repro::statedb::{FileStore, StateCommitter};
@@ -95,6 +95,36 @@ fn chain_survives_restart_and_continues() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One executed chain: its genesis, every block's `(base, delta)` step,
+/// and the final state.
+struct Chain {
+    genesis: State,
+    steps: Vec<(State, BlockDelta)>,
+    head: State,
+}
+
+/// Executes `blocks` generated blocks once, so every store the chain is
+/// replayed into commits identical inputs.
+fn execute_chain(seed: u64, blocks: usize) -> Chain {
+    let executor = ParExecutor::new(4);
+    let mut generator = Generator::new(seed);
+    let genesis = generator.fx.state.clone();
+    let mut steps = Vec::new();
+    let mut state = genesis.clone();
+    for _ in 0..blocks {
+        let block = generator.block(&block_config(48));
+        let result = executor.execute_block(&state, &block);
+        steps.push((state.clone(), result.delta.clone()));
+        state = result.state;
+        generator.fx.state = state.clone();
+    }
+    Chain {
+        genesis,
+        steps,
+        head: state,
+    }
+}
+
 /// The deterministic-merge guarantee, at the byte level: committing the
 /// same chain with 1 and 4 worker threads must produce **byte-identical**
 /// `nodes.log` files — the parallel path batches per worker but absorbs
@@ -103,21 +133,11 @@ fn chain_survives_restart_and_continues() {
 /// DESIGN.md §10.
 #[test]
 fn parallel_commit_store_bytes_match_serial() {
-    let executor = ParExecutor::new(4);
-    let mut generator = Generator::new(0xBA7C);
-    let genesis = generator.fx.state.clone();
-
-    // Execute the chain once; replay the same (base, delta) steps into
-    // every store so the inputs are identical.
-    let mut steps = Vec::new();
-    let mut state = genesis.clone();
-    for _ in 0..3 {
-        let block = generator.block(&block_config(48));
-        let result = executor.execute_block(&state, &block);
-        steps.push((state.clone(), result.delta.clone()));
-        state = result.state;
-        generator.fx.state = state.clone();
-    }
+    let Chain {
+        genesis,
+        steps,
+        head: state,
+    } = execute_chain(0xBA7C, 3);
 
     let run = |tag: &str, threads: usize| -> (PathBuf, B256) {
         let dir = scratch_dir(tag);
@@ -143,6 +163,68 @@ fn parallel_commit_store_bytes_match_serial() {
     assert_eq!(log1, log4, "parallel commit changed the store append order");
     let _ = std::fs::remove_dir_all(&dir1);
     let _ = std::fs::remove_dir_all(&dir4);
+}
+
+/// Residency is invisible to the store: a session that commits k blocks
+/// with its trie resident, is dropped, and resumes cold from the
+/// `FileStore` (loading nodes on demand) lands on the same root after
+/// every block, and appends the same `nodes.log` bytes, as a session that
+/// never stopped — whose roots equal `State::merkle_root` of every
+/// post-block state.
+#[test]
+fn cold_reopen_matches_uninterrupted_session() {
+    const RESUME_AT: usize = 2;
+    let chain = execute_chain(0x2E0B, 5);
+    let open = |dir: &PathBuf| StateCommitter::new(FileStore::open(dir).expect("open store"));
+
+    let steady_dir = scratch_dir("steady");
+    let mut steady = open(&steady_dir);
+    commit_full(&mut steady, &chain.genesis);
+    steady.persist().expect("persist genesis");
+    let mut steady_roots = Vec::new();
+    for (base, delta) in &chain.steps {
+        steady_roots.push(commit_block_delta(&mut steady, base, delta));
+        steady.persist().expect("persist block");
+    }
+    assert_eq!(
+        steady.stats().nodes_loaded,
+        0,
+        "a resident session read its store"
+    );
+    let post_states = chain.steps.iter().skip(1).map(|(base, _)| base);
+    let scratch_roots: Vec<B256> = post_states
+        .chain([&chain.head])
+        .map(State::merkle_root)
+        .collect();
+    assert_eq!(steady_roots, scratch_roots, "resident root diverged");
+    drop(steady);
+
+    let resumed_dir = scratch_dir("resumed");
+    let mut session = open(&resumed_dir);
+    commit_full(&mut session, &chain.genesis);
+    session.persist().expect("persist genesis");
+    let mut resumed_roots = Vec::new();
+    for (height, (base, delta)) in chain.steps.iter().enumerate() {
+        if height == RESUME_AT {
+            drop(session);
+            session = open(&resumed_dir);
+        }
+        resumed_roots.push(commit_block_delta(&mut session, base, delta));
+        session.persist().expect("persist block");
+    }
+    assert!(
+        session.stats().nodes_loaded > 0,
+        "the resumed session must start cold"
+    );
+    assert_eq!(resumed_roots, steady_roots, "cold reopen changed a root");
+    let log = |dir: &PathBuf| std::fs::read(dir.join("nodes.log")).expect("read log");
+    assert_eq!(
+        log(&resumed_dir),
+        log(&steady_dir),
+        "cold reopen changed the store bytes"
+    );
+    let _ = std::fs::remove_dir_all(&steady_dir);
+    let _ = std::fs::remove_dir_all(&resumed_dir);
 }
 
 /// Crash-semantics body, shared by the serial and multi-worker variants:
