@@ -1,23 +1,29 @@
 //! The sustained node pipeline: ingestion → packing → parallel
 //! execution → pipelined commitment, all overlapped.
 //!
-//! One [`NodeDriver::run`] call drives a multi-block session the way a
-//! validating node's front half would: an ingestion worker admits
-//! transactions into the shared [`Mempool`] against the latest committed
-//! state snapshot while the main loop packs a block, executes it on the
-//! `parexec` worker pool, hands the state commitment to the background
-//! [`AsyncCommitter`] thread, and only joins each block's root one block
-//! behind — so at steady state the pool is being refilled, block *h* is
-//! executing, and block *h−1* is still hashing, simultaneously.
+//! One session drives a multi-block run the way a validating node's
+//! front half would: an ingestion worker admits transactions into the
+//! shared [`Mempool`] against the committed state while the main loop
+//! packs a block, executes it on the `parexec` worker pool, hands the
+//! state commitment to the background [`AsyncCommitter`] thread, absorbs
+//! the block's delta into the committed state, and only joins each
+//! block's root one block behind — so at steady state the pool is being
+//! refilled, block *h* is executing, and block *h−1* is still hashing,
+//! simultaneously.
+//!
+//! The loop is written once over a small state backend: the in-memory
+//! [`State`] behind a lock ([`NodeDriver::run`]) or the flat
+//! [`AccountsDb`] ([`NodeDriver::run_flat`]). Both absorb each delta in
+//! place; neither clones state per block.
 
 use crate::packer::{BlockPacker, PackedBlock};
 use crate::pool::{Mempool, PoolStats};
 use mtpu::sched::SlotKey;
 use mtpu_accountsdb::{AccountsDb, DbStats, FlushService};
-use mtpu_evm::commit::{delta_updates, MemStore, StateCommitter};
+use mtpu_evm::commit::{MemStore, StateCommitter};
 use mtpu_evm::state::State;
 use mtpu_evm::tx::{Block, BlockHeader, Receipt, Transaction};
-use mtpu_evm::{commit_full, AsyncCommitter, BlockDelta, CommitHandle};
+use mtpu_evm::{commit_full, AsyncCommitter, BlockDelta, CommitHandle, StateRead};
 use mtpu_parexec::{ChainStats, ParExecutor, TxHints};
 use mtpu_primitives::B256;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,9 +54,9 @@ pub struct CommittedBlock {
     pub block: Arc<Block>,
     /// Receipts in block order, bit-identical to sequential execution.
     pub receipts: Arc<Vec<Receipt>>,
-    /// The materialized post-block state. Present on [`NodeDriver::run`]
-    /// sessions (which clone state per block anyway); absent on
-    /// [`NodeDriver::run_flat`], where only the delta exists.
+    /// A materialized post-block state. The driver leaves it `None` on
+    /// both backends (it never materializes one), and `ReadServer`
+    /// ignores it: the delta is the whole publication.
     pub state: Option<Arc<State>>,
     /// The block's frozen write set over the pre-block state.
     pub delta: Arc<BlockDelta>,
@@ -88,9 +94,11 @@ pub struct DriverConfig {
     /// execution and commitment; `false` ingests inline between blocks —
     /// slower, but fully deterministic for a deterministic source.
     pub background_ingest: bool,
-    /// Flat-backend sessions ([`NodeDriver::run_flat`]): how many blocks
-    /// the background write-cache flush trails the head. Larger values
-    /// batch more writes per storage file.
+    /// How many blocks the flat store's background write-cache flush
+    /// trails the head; each absorb requests a flush up to
+    /// `height - flush_lag`. Larger values batch more writes per storage
+    /// file. Only [`NodeDriver::run_flat`] sessions have a flush; the
+    /// in-memory backend ignores it.
     pub flush_lag: u64,
 }
 
@@ -215,7 +223,8 @@ impl NodeDriver {
         &self.pool
     }
 
-    /// Runs a session from `genesis`, consuming `source`.
+    /// Runs a session from `genesis`, consuming `source`. The in-memory
+    /// state is the backend: each block's delta is applied to it in place.
     pub fn run<S: TxSource>(
         &self,
         genesis: State,
@@ -223,150 +232,15 @@ impl NodeDriver {
         header_of: impl Fn(u64) -> BlockHeader,
     ) -> DriverReport {
         let started = Instant::now();
-        let mut committer =
-            StateCommitter::new(MemStore::new()).with_threads(self.cfg.commit_threads);
-        commit_full(&mut committer, &genesis);
-        let genesis_root = committer.commit();
-        let committer = AsyncCommitter::new(committer);
-
-        let snapshot: RwLock<Arc<State>> = RwLock::new(Arc::new(genesis));
-        let stop = AtomicBool::new(false);
-        let exhausted = AtomicBool::new(false);
-
-        let mut report = DriverReport {
-            blocks: Vec::with_capacity(self.cfg.blocks),
-            chain: ChainStats::default(),
-            pool: PoolStats::default(),
-            genesis_root,
-            final_root: genesis_root,
-            wall: Duration::ZERO,
-            source_exhausted: false,
-            flat: None,
-        };
-
-        std::thread::scope(|scope| {
-            let mut source = source;
-            let mut inline_source: Option<&mut S> = None;
-            if self.cfg.background_ingest {
-                let pool = &self.pool;
-                let snapshot = &snapshot;
-                let stop = &stop;
-                let exhausted = &exhausted;
-                let batch = self.cfg.ingest_batch.max(1);
-                let high_water = self.pool_high_water();
-                scope.spawn(move || {
-                    if mtpu_telemetry::enabled() {
-                        mtpu_telemetry::name_thread("ingest");
-                    }
-                    while !stop.load(Ordering::Relaxed) {
-                        if pool.len() >= high_water {
-                            // Backpressure: the packer is behind; admitting
-                            // more now would just evict what we admitted.
-                            std::thread::sleep(Duration::from_micros(200));
-                            continue;
-                        }
-                        if !ingest_slice(pool, snapshot, &mut source, batch) {
-                            exhausted.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                });
-            } else {
-                inline_source = Some(&mut source);
-            }
-
-            // Prefill so block 1 packs from a warm pool.
-            if let Some(src) = inline_source.as_deref_mut() {
-                if !ingest_slice(&self.pool, &snapshot, src, self.cfg.prefill) {
-                    exhausted.store(true, Ordering::Relaxed);
-                }
-            } else {
-                let deadline = Instant::now() + Duration::from_secs(5);
-                while self.pool.len() < self.cfg.prefill
-                    && !exhausted.load(Ordering::Relaxed)
-                    && Instant::now() < deadline
-                {
-                    std::thread::yield_now();
-                }
-            }
-
-            let mut pending: Option<(usize, CommitHandle)> = None;
-            while report.blocks.len() < self.cfg.blocks {
-                let height = report.blocks.len() as u64 + 1;
-                let packed = self.packer.pack(&self.pool, header_of(height));
-                if packed.block.transactions.is_empty() {
-                    if let Some(src) = inline_source.as_deref_mut() {
-                        if !ingest_slice(&self.pool, &snapshot, src, self.cfg.ingest_batch.max(1)) {
-                            exhausted.store(true, Ordering::Relaxed);
-                        }
-                    }
-                    if exhausted.load(Ordering::Relaxed) && self.pool.ready_chains().is_empty() {
-                        break; // drained: parked leftovers can never run
-                    }
-                    if !self.cfg.background_ingest && !exhausted.load(Ordering::Relaxed) {
-                        continue;
-                    }
-                    std::thread::yield_now();
-                    continue;
-                }
-
-                let base = snapshot.read().expect("snapshot poisoned").clone();
-                let result =
-                    self.executor
-                        .execute_block_with_dag(&base, &packed.block, &packed.graph);
-                // Pipeline the commitment; resolve the *previous* block's
-                // root now that its hashing had a whole block to overlap.
-                let handle = result.submit_commit(&committer, &base, false);
-                self.resolve_pending(&mut report, &mut pending);
-                pending = Some((report.blocks.len(), handle));
-
-                let new_state = Arc::new(result.state);
-                *snapshot.write().expect("snapshot poisoned") = new_state.clone();
-                self.pool.observe_committed(new_state.as_ref());
-
-                report.chain.absorb(&result.stats);
-                report.blocks.push(summary_of(height, &packed));
-
-                // Publish the committed block to the read layer the moment
-                // its state is live; the root follows via `on_root` once
-                // the pipelined commit resolves.
-                if let Some(sink) = &self.sink {
-                    sink.on_block(CommittedBlock {
-                        height,
-                        block: Arc::new(packed.block),
-                        receipts: Arc::new(result.receipts),
-                        state: Some(new_state),
-                        delta: Arc::new(result.delta),
-                    });
-                }
-
-                // Inline mode: refill between blocks (background mode
-                // refills concurrently the whole time).
-                if let Some(src) = inline_source.as_deref_mut() {
-                    if !ingest_slice(&self.pool, &snapshot, src, self.cfg.ingest_batch.max(1)) {
-                        exhausted.store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-            self.resolve_pending(&mut report, &mut pending);
-            stop.store(true, Ordering::Relaxed);
-        });
-
-        report.pool = self.pool.stats();
-        report.source_exhausted = exhausted.load(Ordering::Relaxed);
-        if let Some(last) = report.blocks.last() {
-            report.final_root = last.merkle_root;
-        }
-        report.wall = started.elapsed();
-        report
+        let committer = self.genesis_committer(&genesis);
+        self.session(started, committer, &RwLock::new(genesis), source, header_of)
     }
 
     /// Runs a session against the flat accounts store: execution reads
-    /// hit `db` (write cache → index → storage files) instead of a cloned
-    /// in-memory `State`, the MPT is maintained commitment-only behind
-    /// the pipelined [`AsyncCommitter`], and the write cache drains
-    /// through `flush` in the background, [`DriverConfig::flush_lag`]
-    /// blocks behind the head.
+    /// hit `db` (write cache → index → storage files), the MPT is
+    /// maintained commitment-only behind the pipelined [`AsyncCommitter`],
+    /// and the write cache drains through `flush` in the background,
+    /// [`DriverConfig::flush_lag`] blocks behind the head.
     ///
     /// `genesis` seeds the commitment trie; `db` must already hold the
     /// same state (freshly bootstrapped via
@@ -386,14 +260,41 @@ impl NodeDriver {
         if prefetch {
             db.enable_prefetch();
         }
+        let backend = Flat {
+            db,
+            flush,
+            flush_lag: self.cfg.flush_lag,
+            prefetch,
+        };
+        let committer = self.genesis_committer(genesis);
+        let mut report = self.session(started, committer, &backend, source, header_of);
+        report.flat = Some(db.stats());
+        report
+    }
+
+    /// The commitment trie over `genesis`, not yet committed.
+    fn genesis_committer(&self, genesis: &State) -> StateCommitter<MemStore> {
         let mut committer =
             StateCommitter::new(MemStore::new()).with_threads(self.cfg.commit_threads);
         commit_full(&mut committer, genesis);
+        committer
+    }
+
+    /// The node loop over either backend: pack, execute against the
+    /// committed state, queue the commitment, absorb, publish.
+    fn session<B: Backend, S: TxSource>(
+        &self,
+        started: Instant,
+        mut committer: StateCommitter<MemStore>,
+        backend: &B,
+        source: S,
+        header_of: impl Fn(u64) -> BlockHeader,
+    ) -> DriverReport {
         let genesis_root = committer.commit();
         let committer = AsyncCommitter::new(committer);
-
         let stop = AtomicBool::new(false);
         let exhausted = AtomicBool::new(false);
+        let batch = self.cfg.ingest_batch.max(1);
 
         let mut report = DriverReport {
             blocks: Vec::with_capacity(self.cfg.blocks),
@@ -407,46 +308,50 @@ impl NodeDriver {
         };
 
         std::thread::scope(|scope| {
-            let mut source = source;
-            let mut inline_source: Option<&mut S> = None;
+            let mut inline_source = None;
             if self.cfg.background_ingest {
-                let pool = &self.pool;
-                let db = db.clone();
-                let stop = &stop;
-                let exhausted = &exhausted;
-                let batch = self.cfg.ingest_batch.max(1);
+                let (pool, stop, exhausted) = (&self.pool, &stop, &exhausted);
                 let high_water = self.pool_high_water();
+                let mut source = source;
                 scope.spawn(move || {
                     if mtpu_telemetry::enabled() {
                         mtpu_telemetry::name_thread("ingest");
                     }
                     while !stop.load(Ordering::Relaxed) {
                         if pool.len() >= high_water {
+                            // Backpressure: the packer is behind; admitting
+                            // more now would just evict what we admitted.
                             std::thread::sleep(Duration::from_micros(200));
                             continue;
                         }
-                        if !ingest_slice_flat(pool, &db, &mut source, batch) {
+                        if !ingest_slice(pool, backend, &mut source, batch) {
                             exhausted.store(true, Ordering::Relaxed);
                             return;
                         }
                     }
                 });
             } else {
-                inline_source = Some(&mut source);
+                inline_source = Some(source);
             }
+            // Inline mode admits between blocks; background mode refills
+            // concurrently the whole time, so this is a no-op there.
+            let mut refill = |n: usize| {
+                if let Some(src) = inline_source.as_mut() {
+                    if !ingest_slice(&self.pool, backend, src, n) {
+                        exhausted.store(true, Ordering::Relaxed);
+                    }
+                }
+            };
 
-            if let Some(src) = inline_source.as_deref_mut() {
-                if !ingest_slice_flat(&self.pool, db, src, self.cfg.prefill) {
-                    exhausted.store(true, Ordering::Relaxed);
-                }
-            } else {
-                let deadline = Instant::now() + Duration::from_secs(5);
-                while self.pool.len() < self.cfg.prefill
-                    && !exhausted.load(Ordering::Relaxed)
-                    && Instant::now() < deadline
-                {
-                    std::thread::yield_now();
-                }
+            // Prefill so block 1 packs from a warm pool.
+            refill(self.cfg.prefill);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while self.cfg.background_ingest
+                && self.pool.len() < self.cfg.prefill
+                && !exhausted.load(Ordering::Relaxed)
+                && Instant::now() < deadline
+            {
+                std::thread::yield_now();
             }
 
             let mut pending: Option<(usize, CommitHandle)> = None;
@@ -454,53 +359,42 @@ impl NodeDriver {
                 let height = report.blocks.len() as u64 + 1;
                 let packed = self.packer.pack(&self.pool, header_of(height));
                 if packed.block.transactions.is_empty() {
-                    if let Some(src) = inline_source.as_deref_mut() {
-                        if !ingest_slice_flat(&self.pool, db, src, self.cfg.ingest_batch.max(1)) {
-                            exhausted.store(true, Ordering::Relaxed);
-                        }
-                    }
+                    refill(batch);
                     if exhausted.load(Ordering::Relaxed) && self.pool.ready_chains().is_empty() {
-                        break;
-                    }
-                    if !self.cfg.background_ingest && !exhausted.load(Ordering::Relaxed) {
-                        continue;
+                        break; // drained: parked leftovers can never run
                     }
                     std::thread::yield_now();
                     continue;
                 }
 
-                // Execute against the flat store; the db stays at the
-                // pre-block state until absorb, so the delta's base reads
-                // and the trie updates both see exactly block h-1. The
-                // admission-time read sets ride along as prefetch hints:
-                // the store starts pulling a transaction's slots off disk
-                // the moment its DAG parents commit.
-                let hints = if prefetch {
-                    hints_of(&packed)
-                } else {
-                    Vec::new()
-                };
-                let result = self.executor.execute_block_delta_with_dag_hints(
-                    db.as_ref(),
-                    &packed.block,
-                    &packed.graph,
-                    &hints,
-                );
-                let updates = delta_updates(db.as_ref(), &result.delta);
-                let handle = committer.submit_updates(updates, false);
+                // The backend stays at block h-1 until absorb, so the
+                // delta's base reads and the trie updates both see exactly
+                // the pre-block state. Pipeline the commitment; resolve the
+                // *previous* block's root now that its hashing had a whole
+                // block to overlap.
+                let hints = backend.hints(&packed);
+                let (result, handle) = backend.view(|base| {
+                    let result = self.executor.execute_block_delta_with_dag_hints(
+                        base,
+                        &packed.block,
+                        &packed.graph,
+                        &hints,
+                    );
+                    let handle = committer.submit(base, &result.delta, false);
+                    (result, handle)
+                });
                 self.resolve_pending(&mut report, &mut pending);
                 pending = Some((report.blocks.len(), handle));
 
-                db.absorb(&result.delta, height);
-                self.pool.observe_committed(db.as_ref());
-                flush.request_flush(height.saturating_sub(self.cfg.flush_lag));
+                backend.absorb(&result.delta, height);
+                backend.view(|state| self.pool.observe_committed(state));
 
                 report.chain.absorb(&result.stats);
                 report.blocks.push(summary_of(height, &packed));
 
-                // Publish delta-only: the flat store mutates in place, so
-                // the read layer anchors snapshots at its own frozen base
-                // and extends the delta chain per block.
+                // Publish the committed block to the read layer the moment
+                // its state is live; the root follows via `on_root` once
+                // the pipelined commit resolves.
                 if let Some(sink) = &self.sink {
                     sink.on_block(CommittedBlock {
                         height,
@@ -510,12 +404,7 @@ impl NodeDriver {
                         delta: Arc::new(result.delta),
                     });
                 }
-
-                if let Some(src) = inline_source.as_deref_mut() {
-                    if !ingest_slice_flat(&self.pool, db, src, self.cfg.ingest_batch.max(1)) {
-                        exhausted.store(true, Ordering::Relaxed);
-                    }
-                }
+                refill(batch);
             }
             self.resolve_pending(&mut report, &mut pending);
             stop.store(true, Ordering::Relaxed);
@@ -526,7 +415,6 @@ impl NodeDriver {
         if let Some(last) = report.blocks.last() {
             report.final_root = last.merkle_root;
         }
-        report.flat = Some(db.stats());
         report.wall = started.elapsed();
         report
     }
@@ -592,44 +480,89 @@ fn summary_of(height: u64, packed: &PackedBlock) -> BlockSummary {
     }
 }
 
-/// Admits up to `batch` transactions against the current snapshot.
-/// Returns `false` when the source ran dry.
-fn ingest_slice<S: TxSource>(
-    pool: &Mempool,
-    snapshot: &RwLock<Arc<State>>,
-    source: &mut S,
-    batch: usize,
-) -> bool {
-    let state = snapshot.read().expect("snapshot poisoned").clone();
-    let span = mtpu_telemetry::span("node.ingest", "mempool");
-    for _ in 0..batch {
-        let Some(tx) = source.next_tx() else {
-            drop(span);
-            return false;
-        };
-        let _ = pool.admit(tx, state.as_ref());
-    }
-    drop(span);
-    true
+/// The committed state a session executes against and absorbs into.
+trait Backend: Sync {
+    /// What execution, commitment and admission read.
+    type Base: StateRead + Sync;
+    /// Runs `f` against the committed state.
+    fn view<R>(&self, f: impl FnOnce(&Self::Base) -> R) -> R;
+    /// Applies block `height`'s delta to the committed state.
+    fn absorb(&self, delta: &BlockDelta, height: u64);
+    /// Per-transaction prefetch hints for `packed`; empty when the backend
+    /// takes none.
+    fn hints(&self, packed: &PackedBlock) -> Vec<TxHints>;
 }
 
-/// Flat-backend ingestion: the store itself is the committed snapshot
-/// (absorbed deltas are immediately visible), so admission reads go
-/// straight to it.
-fn ingest_slice_flat<S: TxSource>(
+/// The in-memory backend. Readers (execution, commitment, admission)
+/// share the lock; absorb takes it exclusively and applies the delta in
+/// place.
+impl Backend for RwLock<State> {
+    type Base = State;
+
+    fn view<R>(&self, f: impl FnOnce(&State) -> R) -> R {
+        f(&self.read().expect("state poisoned"))
+    }
+
+    fn absorb(&self, delta: &BlockDelta, _height: u64) {
+        delta.apply_to(&mut self.write().expect("state poisoned"));
+    }
+
+    fn hints(&self, _packed: &PackedBlock) -> Vec<TxHints> {
+        Vec::new()
+    }
+}
+
+/// The flat accounts-store backend: the store mutates in place on absorb,
+/// and each absorb asks the flush service to drain the write cache
+/// `flush_lag` blocks behind the head.
+struct Flat<'a> {
+    db: &'a AccountsDb,
+    flush: &'a FlushService,
+    flush_lag: u64,
+    prefetch: bool,
+}
+
+impl Backend for Flat<'_> {
+    type Base = AccountsDb;
+
+    fn view<R>(&self, f: impl FnOnce(&AccountsDb) -> R) -> R {
+        f(self.db)
+    }
+
+    fn absorb(&self, delta: &BlockDelta, height: u64) {
+        self.db.absorb(delta, height);
+        self.flush
+            .request_flush(height.saturating_sub(self.flush_lag));
+    }
+
+    /// The admission-time read sets ride along as prefetch hints: the
+    /// store starts pulling a transaction's slots off disk the moment its
+    /// DAG parents commit.
+    fn hints(&self, packed: &PackedBlock) -> Vec<TxHints> {
+        if self.prefetch {
+            hints_of(packed)
+        } else {
+            Vec::new()
+        }
+    }
+}
+
+/// Admits up to `batch` transactions against the backend's committed
+/// state, taking the backend's read view per transaction so an absorb
+/// never waits behind a whole slice. Returns `false` when the source ran
+/// dry.
+fn ingest_slice<B: Backend, S: TxSource>(
     pool: &Mempool,
-    db: &AccountsDb,
+    backend: &B,
     source: &mut S,
     batch: usize,
 ) -> bool {
-    let span = mtpu_telemetry::span("node.ingest", "mempool");
+    let _span = mtpu_telemetry::span("node.ingest", "mempool");
     for _ in 0..batch {
         let Some(tx) = source.next_tx() else {
-            drop(span);
             return false;
         };
-        let _ = pool.admit(tx, db);
+        let _ = backend.view(|state| pool.admit(tx, state));
     }
-    drop(span);
     true
 }

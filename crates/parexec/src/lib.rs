@@ -344,7 +344,7 @@ impl ParExecutor {
         block: &Block,
         dag: &DepGraph,
     ) -> BlockResult {
-        let r = self.execute_block_delta_with_dag(base, block, dag);
+        let r = self.execute_block_delta_with_dag_hints(base, block, dag, &[]);
         let mut state = base.clone();
         r.delta.apply_to(&mut state);
         BlockResult {
@@ -355,35 +355,15 @@ impl ParExecutor {
         }
     }
 
-    /// [`ParExecutor::execute_block`] against an arbitrary [`StateRead`]
-    /// backend, returning only receipts + delta (no state clone).
-    pub fn execute_block_delta<B: StateRead + Sync>(&self, base: &B, block: &Block) -> DeltaResult {
-        let dag = DepGraph::sender_order(&block.transactions);
-        self.execute_block_delta_with_dag(base, block, &dag)
-    }
-
     /// [`ParExecutor::execute_block_with_dag`] against an arbitrary
     /// [`StateRead`] backend (an in-memory [`State`], the flat accounts-DB,
     /// …), returning only receipts + delta. The base is never cloned; the
     /// caller absorbs the delta into its backend.
     ///
-    /// # Panics
-    ///
-    /// Panics when `dag.len() != block.transactions.len()`.
-    pub fn execute_block_delta_with_dag<B: StateRead + Sync>(
-        &self,
-        base: &B,
-        block: &Block,
-        dag: &DepGraph,
-    ) -> DeltaResult {
-        self.execute_block_delta_with_dag_hints(base, block, dag, &[])
-    }
-
-    /// [`ParExecutor::execute_block_delta_with_dag`] plus per-transaction
-    /// prefetch hints: when transaction `i` becomes ready, `hints[i]` is
-    /// forwarded to the backend (see [`TxHints`]) before any worker claims
-    /// it, overlapping backend reads with scheduling. Pass an empty slice
-    /// for no hints.
+    /// `hints` are per-transaction prefetch hints: when transaction `i`
+    /// becomes ready, `hints[i]` is forwarded to the backend (see
+    /// [`TxHints`]) before any worker claims it, overlapping backend reads
+    /// with scheduling. Pass an empty slice for no hints.
     ///
     /// # Panics
     ///

@@ -19,12 +19,6 @@ cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> fusion differential fuzz (fused vs unfused observational equality)"
-cargo test -q --test fusion_differential
-
-echo "==> readserve crate tests (MVCC snapshot read layer)"
-cargo test -q -p mtpu-readserve
-
 echo "==> statedb fuzz smoke (randomized trie: resident vs cold reopen vs scratch)"
 cargo run --release -p mtpu-statedb --example fuzz_smoke
 

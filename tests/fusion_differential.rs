@@ -453,7 +453,8 @@ fn prefetch_grid_is_observationally_identical() {
             if prefetch {
                 db.enable_prefetch();
             }
-            let r = exec.execute_block_delta(db.as_ref(), &block);
+            let dag = mtpu_repro::mtpu::sched::DepGraph::sender_order(&block.transactions);
+            let r = exec.execute_block_delta_with_dag_hints(db.as_ref(), &block, &dag, &[]);
             assert_eq!(r.receipts, seq_receipts, "{tag} flat: receipts");
             assert_eq!(
                 delta_merkle_root(&base, &r.delta),

@@ -10,13 +10,15 @@ use mtpu_repro::evm::state::State;
 use mtpu_repro::evm::tx::{BlockHeader, Transaction};
 use mtpu_repro::evm::{apply_updates, commit_full, delta_updates, AsyncCommitter};
 use mtpu_repro::mempool::{
-    BlockPacker, DriverConfig, Mempool, NodeDriver, PackedBlock, PackerConfig, PoolConfig, TxSource,
+    BlockPacker, BlockSink, CommittedBlock, DriverConfig, DriverReport, Mempool, NodeDriver,
+    PackedBlock, PackerConfig, PoolConfig, TxSource,
 };
 use mtpu_repro::parexec::ParExecutor;
 use mtpu_repro::primitives::B256;
 use mtpu_repro::statedb::{MemStore, StateCommitter};
 use mtpu_repro::workloads::{ZipfConfig, ZipfGen};
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 const THREADS: [usize; 3] = [1, 4, 8];
 
@@ -223,7 +225,7 @@ fn flat_backend_receipts_and_roots_match_across_thread_counts() {
 
         for (i, p) in packed.iter().enumerate() {
             let height = i as u64 + 1;
-            let result = exec.execute_block_delta_with_dag(&db, &p.block, &p.graph);
+            let result = exec.execute_block_delta_with_dag_hints(&db, &p.block, &p.graph, &[]);
             assert_eq!(
                 result.receipts, oracle_receipts[i],
                 "flat receipts diverged at block {i} threads {threads}"
@@ -306,4 +308,105 @@ fn flat_driver_matches_state_driver_and_survives_snapshot_restore() {
     assert_eq!(restored.snapshot_root(), Some(flat.final_root));
     assert_eq!(restored.head_height(), head);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Everything a session published: blocks with their receipts, and the
+/// roots that resolved for them, by height.
+#[derive(Default)]
+struct Recorder {
+    blocks: Mutex<Vec<CommittedBlock>>,
+    roots: Mutex<BTreeMap<u64, B256>>,
+}
+
+impl BlockSink for Recorder {
+    fn on_block(&self, cb: CommittedBlock) {
+        assert!(cb.state.is_none(), "the driver publishes deltas only");
+        self.blocks.lock().unwrap().push(cb);
+    }
+
+    fn on_root(&self, height: u64, root: B256) {
+        self.roots.lock().unwrap().insert(height, root);
+    }
+}
+
+/// Replays what `sink` recorded on the sequential oracle: every block's
+/// receipts and every height's merkle root must match.
+fn replay(genesis: &State, sink: &Recorder, report: &DriverReport, tag: &str) {
+    let blocks = sink.blocks.lock().unwrap();
+    let roots = sink.roots.lock().unwrap();
+    assert_eq!(blocks.len(), report.blocks.len(), "{tag}: published blocks");
+    assert_eq!(roots.len(), blocks.len(), "{tag}: resolved roots");
+    let mut state = genesis.clone();
+    for (cb, summary) in blocks.iter().zip(&report.blocks) {
+        let height = cb.height;
+        assert_eq!(height, summary.height, "{tag}: publication order");
+        assert_eq!(
+            &sequential(&mut state, &cb.block),
+            cb.receipts.as_ref(),
+            "{tag}: receipts diverged at {height}"
+        );
+        let root = state.merkle_root();
+        assert_eq!(roots[&height], root, "{tag}: root diverged at {height}");
+        assert_eq!(summary.merkle_root, root, "{tag}: report root at {height}");
+    }
+    assert_eq!(report.final_root, state.merkle_root(), "{tag}: final root");
+}
+
+/// Background ingestion races admission against the in-place absorb of
+/// each block's delta. Small blocks force many absorbs while the ingest
+/// thread is admitting; whatever the race packs, the published blocks
+/// must replay on the sequential oracle to the same receipts and roots,
+/// on both backends.
+#[test]
+fn background_ingest_sessions_replay_on_the_sequential_oracle() {
+    let make_driver = || {
+        NodeDriver::new(
+            Mempool::new(PoolConfig::default()),
+            BlockPacker::new(PackerConfig {
+                max_txs: 24,
+                ..PackerConfig::default()
+            }),
+            DriverConfig {
+                blocks: 24,
+                threads: 4,
+                ingest_batch: 16,
+                prefill: 32,
+                background_ingest: true,
+                ..DriverConfig::default()
+            },
+        )
+    };
+    let make_source = || Bounded {
+        gen: stream(0xB6),
+        left: 480,
+    };
+    let genesis = make_source().gen.genesis_state().clone();
+
+    let sink = Arc::new(Recorder::default());
+    let report = make_driver()
+        .with_sink(sink.clone())
+        .run(genesis.clone(), make_source(), header);
+    assert!(report.blocks.len() > 1, "the session produced no chain");
+    replay(&genesis, &sink, &report, "run");
+
+    let dir = scratch_dir("background");
+    let db = Arc::new(AccountsDb::open(&dir).expect("open accounts db"));
+    db.bootstrap_from_state(&genesis, 0);
+    let flush = FlushService::start(db.clone());
+    let sink = Arc::new(Recorder::default());
+    let report = make_driver().with_sink(sink.clone()).run_flat(
+        &genesis,
+        &db,
+        &flush,
+        make_source(),
+        header,
+    );
+    drop(flush);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        report.blocks.len() > 1,
+        "the flat session produced no chain"
+    );
+    replay(&genesis, &sink, &report, "run_flat");
 }

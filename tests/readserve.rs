@@ -2,7 +2,7 @@
 //! [`ReadServer`] serves at height *H* — point reads, receipts, full
 //! read-only `call` simulation — must be bit-identical to a sequential
 //! [`State`] replayed to *H*, no matter how far the write pipeline has
-//! advanced past it, which publication mode fed the server, or how many
+//! advanced past it, which driver backend fed the server, or how many
 //! reader threads are hammering it concurrently.
 
 use mtpu_repro::contracts::{addresses, call_data, Fixture};
@@ -317,13 +317,20 @@ fn make_source(seed: u64) -> Bounded {
 /// deterministic `NodeDriver::run` session, then check everything the
 /// server can say — roots, receipts, point reads, `eth_call` simulation,
 /// subscription events — against a sequential replay of the very blocks
-/// it served.
+/// it served. A short delta chain makes the publication fold mid-session,
+/// so reads cross fold boundaries.
 #[test]
 fn driver_run_serves_reads_identical_to_sequential_replay() {
     const BLOCKS: usize = 4;
     let source = make_source(0xFEED);
     let genesis = source.gen.genesis_state().clone();
-    let server = ReadServer::new(genesis.clone(), ReadServeConfig::default());
+    let server = ReadServer::new(
+        genesis.clone(),
+        ReadServeConfig {
+            max_delta_chain: 2, // force folds inside a 4-block session
+            ..ReadServeConfig::default()
+        },
+    );
     let sub = server.subscribe();
 
     let report = make_driver(BLOCKS)
@@ -386,9 +393,11 @@ fn driver_run_serves_reads_identical_to_sequential_replay() {
     assert_eq!(&receipt, &last.receipts()[idx]);
 }
 
-/// Publication-mode parity: the same deterministic session through
-/// `run` (full-state snapshots) and `run_flat` (delta chains + folds)
-/// must serve identical reads at every height.
+/// Backend parity at the read layer: the same deterministic session
+/// through `run` (in-memory state) and `run_flat` (flat accounts store)
+/// publishes identical delta chains, so the two servers — one with the
+/// default chain length, one folding every two blocks — must serve
+/// identical reads at every height.
 #[test]
 fn run_flat_sink_serves_the_same_reads_as_run() {
     use mtpu_repro::accountsdb::{AccountsDb, FlushService};
